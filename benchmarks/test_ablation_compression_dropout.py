@@ -24,7 +24,7 @@ def _train(wl, groups, compressor=None, dropout=0.0, secure=False):
     cfg = replace(
         wl.trainer_config,
         sampling_method="esrcov",
-        client_dropout_prob=dropout,
+        faults=f"dropout:{dropout}@after" if dropout else None,
         use_secure_aggregation=secure,
         max_rounds=min(wl.trainer_config.max_rounds, 15),
     )
@@ -32,7 +32,8 @@ def _train(wl, groups, compressor=None, dropout=0.0, secure=False):
         wl.model_fn, wl.fed, groups, cfg, cost_model=wl.cost_model,
         compressor=compressor,
     )
-    return trainer.run()
+    trainer.run()
+    return trainer
 
 
 def run_compression_ablation():
@@ -43,12 +44,12 @@ def run_compression_ablation():
     )
     num_params = wl.model_fn().num_params
     return {
-        "full": _train(wl, groups).final_accuracy,
-        "q8": _train(wl, groups, QuantizeCompressor(bits=8)).final_accuracy,
-        "top5%": _train(wl, groups, TopKCompressor(0.05)).final_accuracy,
+        "full": _train(wl, groups).history.final_accuracy,
+        "q8": _train(wl, groups, QuantizeCompressor(bits=8)).history.final_accuracy,
+        "top5%": _train(wl, groups, TopKCompressor(0.05)).history.final_accuracy,
         "top5%+EF": _train(
             wl, groups, ErrorFeedback(TopKCompressor(0.05), num_params)
-        ).final_accuracy,
+        ).history.final_accuracy,
     }
 
 
@@ -64,7 +65,7 @@ def test_compression_ablation(benchmark):
 
 def run_dropout_ablation():
     s = get_scale(SCALE)
-    out = {}
+    out = {"recoveries": 0}
     for label, dropout, secure in [
         ("no-dropout", 0.0, False),
         ("drop30%", 0.3, False),
@@ -75,7 +76,9 @@ def run_dropout_ablation():
             CoVGrouping(s.min_group_size, s.max_cov), wl.fed.L,
             wl.edge_assignment, rng=0,
         )
-        out[label] = _train(wl, groups, dropout=dropout, secure=secure).final_accuracy
+        trainer = _train(wl, groups, dropout=dropout, secure=secure)
+        out[label] = trainer.history.final_accuracy
+        out["recoveries"] += trainer.fault_trace.counts()["secagg_recovery"]
     return out
 
 
@@ -83,5 +86,7 @@ def test_dropout_ablation(benchmark):
     accs = run_once(benchmark, run_dropout_ablation)
     print(f"\ndropout ablation: { {k: round(v, 3) for k, v in accs.items()} }")
     assert accs["drop30%"] > accs["no-dropout"] - 0.1, "graceful degradation"
-    # The secure recovery path matches the plain dropout path.
+    # The secure recovery path runs in-loop and matches the plain dropout
+    # path.
+    assert accs["recoveries"] >= 1
     assert abs(accs["drop30%+secagg"] - accs["drop30%"]) < 0.1

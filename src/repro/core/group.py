@@ -29,6 +29,7 @@ from repro.nn.model import Model
 from repro.nn.optim import SGD
 from repro.rng import make_rng
 from repro.secure.backdoor import BackdoorDetector
+from repro.secure.dropout import DropoutTolerantAggregator
 from repro.secure.secagg import SecureAggregator
 from repro.telemetry import Telemetry, resolve as resolve_telemetry
 
@@ -41,6 +42,10 @@ __all__ = ["run_group_round", "resolve_engine"]
 #: ordering moves to after the lockstep loop, which a cross-client-coupled
 #: strategy could observe).
 _AUTO_BATCHED_STRATEGIES = (PlainSGDStrategy, FedProxStrategy, ScaffoldStrategy)
+
+#: Shamir threshold of the SecAgg recovery path: reconstructing a lost
+#: client's masks takes seed shares from two live shareholders
+_RECOVERY_THRESHOLD = 2
 
 
 def resolve_engine(
@@ -70,6 +75,18 @@ def resolve_engine(
     )
 
 
+def _narrow(
+    weights: np.ndarray, alive: np.ndarray, keep: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Shrink the survivor mask to ``keep``; when that removes anyone, the
+    weights renormalize over the new survivors (zero elsewhere)."""
+    if np.array_equal(keep, alive):
+        return weights, alive
+    out = np.zeros_like(weights)
+    out[keep] = weights[keep] / weights[keep].sum()
+    return out, keep
+
+
 def run_group_round(
     model: Model,
     optimizer: SGD,
@@ -86,8 +103,6 @@ def run_group_round(
     backdoor_detector: BackdoorDetector | None = None,
     round_id: int = 0,
     compressor=None,
-    dropout_prob: float = 0.0,
-    dropout_aggregator=None,
     update_transforms: dict | None = None,
     telemetry: Telemetry | None = None,
     parent_span_id: int | None = None,
@@ -97,34 +112,34 @@ def run_group_round(
 ) -> np.ndarray:
     """Run the K×(clients×E) loop for one group; returns the group model.
 
+    Each group round is one pipeline over a boolean survivor mask indexed
+    by member: fault-plan decisions → local training → attacks and
+    compression on the uploads → stragglers and uplink loss → the session
+    ban list → the backdoor defense → one aggregation.
+
     Parameters
     ----------
     clients:
         The full client list, indexed by the group's member ids.
     secure_aggregator:
         When set, each group aggregation is performed through pairwise-
-        masked secure aggregation (clients pre-scale by n_i/n_g) instead of
-        a plain weighted average — functionally identical up to fixed-point
-        rounding, but exercising the real group operation.
+        masked secure aggregation (clients pre-scale by their weight)
+        instead of a plain weighted average — functionally identical up to
+        fixed-point rounding, but exercising the real group operation. When
+        an upload is lost after masking, the round runs the dropout-
+        tolerant protocol instead (:class:`repro.secure.DropoutTolerantAggregator`,
+        Shamir threshold 2): survivors' seed shares reconstruct and cancel
+        the lost clients' masks. Every client that uploaded stays in that
+        session as a shareholder; banned and flagged ones send a zero vector.
     backdoor_detector:
         When set, client *updates* (delta from the group model) pass the
         clustering defense before aggregation; flagged clients are dropped
-        from this group round.
+        from this group round and banned for the rest of the session.
     compressor:
         Optional update compressor (``repro.compression``): each client's
         update is compressed (lossy) before leaving the device, and the
         decoded reconstruction is what the edge aggregates. An
         ``ErrorFeedback`` wrapper is also accepted (keyed by client id).
-    dropout_prob:
-        Per-client, per-group-round probability of dropping after local
-        training (device failure / connectivity loss). At least one client
-        always survives. Dropped clients' updates are excluded and the
-        surviving weights renormalized.
-    dropout_aggregator:
-        Optional :class:`repro.secure.DropoutTolerantAggregator`: when set
-        (and dropouts occur), the aggregation runs the full seed-share
-        reconstruction protocol instead of silently skipping the dropped
-        clients — exercising the real recovery path.
     telemetry / parent_span_id:
         Optional :class:`repro.telemetry.Telemetry`: the whole call is
         timed as a ``group`` span with ``client_update`` / ``secagg`` /
@@ -135,10 +150,9 @@ def run_group_round(
         Optional :class:`repro.faults.FaultPlan`: every group round asks
         the plan (pure, keyed decisions) which clients drop — ``before``
         (no compute), ``mid`` (compute burned, no upload) or ``after``
-        (upload masked then lost, forcing Shamir mask reconstruction when
-        ``dropout_aggregator`` is set) — which uploads straggle, and which
-        are lost on the uplink after retries. Injected faults are appended
-        to ``fault_events`` (a plain list; the trainer merges and meters).
+        (upload masked then lost) — which uploads straggle, and which are
+        lost on the uplink after retries. Injected faults are appended to
+        ``fault_events`` (a plain list; the trainer merges and meters).
     engine:
         ``"auto"`` (default) trains the whole group through the stacked
         :func:`repro.nn.batched.batched_local_rounds` engine whenever the
@@ -147,12 +161,12 @@ def run_group_round(
         ``"reference"`` keeps the per-client loop (the retained slow path
         differential tests compare against).
     """
-    if not 0.0 <= dropout_prob < 1.0:
-        raise ValueError(f"dropout_prob must be in [0, 1), got {dropout_prob}")
     use_batched = resolve_engine(engine, model, strategy)
     tel = resolve_telemetry(telemetry)
     rng = make_rng(rng)
+    events = fault_events if fault_events is not None else []
     members = [clients[int(cid)] for cid in group.members]
+    n = len(members)
     n_i = np.array([c.n for c in members], dtype=np.float64)
     n_g = n_i.sum()
     if n_g <= 0:
@@ -167,27 +181,29 @@ def run_group_round(
     optimizer.reset_state()
 
     group_params = global_params.copy()  # Line 8: x^g_{t,0} = x_t
-    num_params = group_params.shape[0]
-    client_params = np.empty((len(members), num_params))
-    client_rngs = rng.spawn(len(members))
-    #: clients the defense flagged earlier in this group session
-    banned: set[int] = set()
-    #: minimum clients that must deliver an update for aggregation (and for
-    #: the recovery protocol's Shamir threshold, when in use)
-    min_alive = 1
-    if dropout_aggregator is not None:
-        min_alive = min(dropout_aggregator.threshold, len(members))
+    client_params = np.empty((n, group_params.shape[0]))
+    client_rngs = rng.spawn(n)
+    recovery = None
+    if secure_aggregator is not None:
+        recovery = DropoutTolerantAggregator(
+            threshold=_RECOVERY_THRESHOLD, codec=secure_aggregator.codec
+        )
+    #: fewest members that must deliver an update: one to aggregate, or
+    #: the Shamir threshold when SecAgg may have to recover lost uploads
+    min_alive = 1 if recovery is None else min(_RECOVERY_THRESHOLD, n)
+    #: members the defense flagged earlier in this group session
+    banned = np.zeros(n, dtype=bool)
 
     with tel.span(
         "group",
         parent_id=parent_span_id,
         group_id=gid,
         edge_id=group.edge_id,
-        size=len(members),
+        size=n,
     ):
         for k in range(group_rounds):
-            # ---------------- fault-plan decisions (pure, keyed by ids) ----
-            # Decided before training so a 'before' dropout skips compute.
+            # 1. Fault-plan decisions (pure, keyed by ids), taken before
+            # training so a 'before' dropout skips compute.
             drop_phase: dict[int, str] = {}
             if fault_plan is not None:
                 for idx, client in enumerate(members):
@@ -199,23 +215,19 @@ def run_group_round(
                 # Never let dropouts kill the whole aggregation: spare
                 # clients (lowest member index first — deterministic on any
                 # backend) until min_alive can deliver.
-                while len(members) - len(drop_phase) < min_alive and drop_phase:
+                while n - len(drop_phase) < min_alive and drop_phase:
                     del drop_phase[min(drop_phase)]
 
+            # 2. Local training. 'before'-drops never train (and never
+            # touch their RNG); 'mid'-drops train, then upload nothing.
+            train_idx = [i for i in range(n) if drop_phase.get(i) != "before"]
             if use_batched:
-                # 'before'-drops never train (and never touch their RNG —
-                # same consumption as the reference loop); 'mid'-drops
-                # train, then their update is discarded below.
-                train_idx = [
-                    i for i in range(len(members))
-                    if drop_phase.get(i) != "before"
-                ]
                 if train_idx:
                     with tel.span(
                         "client_update", k=k, clients=len(train_idx),
                         batched=True,
                     ):
-                        ends = batched_local_rounds(
+                        client_params[train_idx] = batched_local_rounds(
                             model,
                             optimizer,
                             [members[i] for i in train_idx],
@@ -228,270 +240,158 @@ def run_group_round(
                             step_mode=step_mode,
                             telemetry=tel,
                         )
-                    for j, i in enumerate(train_idx):
-                        client_params[i] = ends[j]
-                # Fault events land in member order, 'before'/'mid'
-                # interleaved by index — the order the reference loop
-                # appends them in, so FaultTrace signatures match.
-                for idx, client in enumerate(members):
-                    phase = drop_phase.get(idx)
-                    if phase in ("before", "mid"):
-                        client_params[idx] = group_params
-                        if fault_events is not None:
-                            fault_events.append(FaultEvent(
-                                "dropout", round_id, gid, client.client_id,
-                                k, phase,
-                            ))
             else:
-                for idx, client in enumerate(members):
-                    if drop_phase.get(idx) == "before":
-                        # Device died before training: no compute, no
-                        # upload. Zero update keeps downstream buffers
-                        # well-defined.
-                        client_params[idx] = group_params
-                        if fault_events is not None:
-                            fault_events.append(FaultEvent(
-                                "dropout", round_id, gid, client.client_id,
-                                k, "before",
-                            ))
-                        continue
+                for i in train_idx:
                     with tel.span(
-                        "client_update", client_id=client.client_id, k=k
+                        "client_update", client_id=members[i].client_id, k=k
                     ):
-                        end, _ = run_local_rounds(
+                        client_params[i], _ = run_local_rounds(
                             model,
                             optimizer,
-                            client,
+                            members[i],
                             start_params=group_params,
                             local_rounds=local_rounds,
                             batch_size=batch_size,
-                            rng=client_rngs[idx],
+                            rng=client_rngs[i],
                             strategy=strategy,
                             anchor=group_params,
                             step_mode=step_mode,
                             telemetry=tel,
                         )
-                    client_params[idx] = end
-                    if drop_phase.get(idx) == "mid":
-                        # Died during local steps: compute burned, nothing
-                        # uploaded (the ledger still charges the group —
-                        # that wasted work is the point of the fault).
-                        client_params[idx] = group_params
-                        if fault_events is not None:
-                            fault_events.append(FaultEvent(
-                                "dropout", round_id, gid, client.client_id,
-                                k, "mid",
-                            ))
+            # 'before'/'mid' drops upload nothing (a zero update keeps the
+            # buffers well-defined); their events land in member order.
+            uploaded = np.ones(n, dtype=bool)
+            for idx, phase in drop_phase.items():
+                if phase != "after":
+                    uploaded[idx] = False
+                    client_params[idx] = group_params
+                    events.append(FaultEvent(
+                        "dropout", round_id, gid, members[idx].client_id,
+                        k, phase,
+                    ))
 
-            # Per-round working views (the persistent client_params buffer
-            # must never be rebound — the next k iteration refills it for
-            # all members).
+            # 3. Adversarial clients manipulate their upload
+            # (repro.attacks), then it is compressed before leaving the
+            # device.
             params_k = client_params
-            weights = data_weights
             updates = client_params - group_params
-            #: members that never reach the uplink this round (before/mid)
-            pre_dead = {i for i, p in drop_phase.items() if p != "after"}
-            # Adversarial clients manipulate their upload (repro.attacks).
+            senders = np.flatnonzero(uploaded)
             if update_transforms:
-                for idx, client in enumerate(members):
-                    if idx in pre_dead:
-                        continue
-                    attack = update_transforms.get(client.client_id)
+                for idx in senders:
+                    attack = update_transforms.get(members[idx].client_id)
                     if attack is not None:
                         updates[idx] = attack.transform_update(updates[idx], rng=rng)
                 params_k = group_params + updates
             if compressor is not None:
                 from repro.compression.error_feedback import ErrorFeedback
 
-                for idx, client in enumerate(members):
-                    if idx in pre_dead:
-                        continue
+                for idx in senders:
                     if isinstance(compressor, ErrorFeedback):
                         out = compressor.compress(
-                            client.client_id, updates[idx], rng=rng
+                            members[idx].client_id, updates[idx], rng=rng
                         )
                     else:
                         out = compressor.compress(updates[idx], rng=rng)
                     updates[idx] = out.decoded
                 params_k = group_params + updates
 
-            # ---------------- uplink faults: stragglers + message loss ----
-            cur_members = members
+            # 4. Stragglers and uplink loss. An 'after' dropout and an upload
+            # lost on every retry both vanish after masking.
+            lost = np.array(
+                [drop_phase.get(i) == "after" for i in range(n)], dtype=bool
+            )
             if fault_plan is not None:
-                after_dead: set[int] = {
-                    i for i, p in drop_phase.items() if p == "after"
-                }
-                for idx, client in enumerate(members):
-                    if idx in pre_dead or idx in after_dead:
-                        continue
-                    delay = fault_plan.straggler_delay(
-                        round_id, gid, k, client.client_id
-                    )
-                    if delay > 0.0 and fault_events is not None:
-                        fault_events.append(FaultEvent(
-                            "straggler", round_id, gid, client.client_id, k,
-                            delay_s=delay,
+                for idx in np.flatnonzero(uploaded & ~lost):
+                    cid = members[idx].client_id
+                    delay = fault_plan.straggler_delay(round_id, gid, k, cid)
+                    if delay > 0.0:
+                        events.append(FaultEvent(
+                            "straggler", round_id, gid, cid, k, delay_s=delay,
                         ))
-                    up = fault_plan.uplink(round_id, gid, k, client.client_id)
-                    if (up.retries or not up.delivered) and fault_events is not None:
-                        fault_events.append(FaultEvent(
-                            "message_loss", round_id, gid, client.client_id, k,
+                    up = fault_plan.uplink(round_id, gid, k, cid)
+                    if up.retries or not up.delivered:
+                        events.append(FaultEvent(
+                            "message_loss", round_id, gid, cid, k,
                             phase="lost" if not up.delivered else "retried",
                             delay_s=up.delay_s,
                             retries=up.retries,
                         ))
                     if not up.delivered:
-                        # All retries exhausted: equivalent to dropping
-                        # after masking — the update is gone but its masks
-                        # are in flight.
-                        after_dead.add(idx)
-                for idx, client in enumerate(members):
-                    if idx in after_dead and drop_phase.get(idx) == "after":
-                        if fault_events is not None:
-                            fault_events.append(FaultEvent(
-                                "dropout", round_id, gid, client.client_id, k,
-                                "after",
-                            ))
+                        # All retries exhausted: the masked upload is gone.
+                        lost[idx] = True
+                for idx, phase in drop_phase.items():
+                    if phase == "after":
+                        events.append(FaultEvent(
+                            "dropout", round_id, gid, members[idx].client_id,
+                            k, "after",
+                        ))
                 # Keep the aggregation (and Shamir reconstruction) viable.
-                while (
-                    len(members) - len(pre_dead) - len(after_dead) < min_alive
-                    and after_dead
-                ):
-                    after_dead.discard(min(after_dead))
+                while (uploaded & ~lost).sum() < min_alive and lost.any():
+                    lost[np.flatnonzero(lost)[0]] = False
 
-                if pre_dead:
-                    keep = np.array(
-                        [i not in pre_dead for i in range(len(members))], dtype=bool
-                    )
-                    updates = updates[keep]
-                    params_k = params_k[keep]
-                    weights = weights[keep] / weights[keep].sum()
-                    cur_members = [
-                        m for i, m in enumerate(members) if i not in pre_dead
-                    ]
-                    # Re-index the after-death set into the filtered frame.
-                    old_to_new = np.cumsum(keep) - 1
-                    after_dead = {int(old_to_new[i]) for i in after_dead}
+            # 5. The session ban list: clients flagged in an earlier group
+            # round stay out (re-admitting a detected attacker at k+1 would
+            # re-implant whatever the defense just removed), unless that
+            # leaves nobody. Each stage that removes someone renormalizes
+            # the weights over who is left.
+            delivered = uploaded & ~lost
+            unbanned = delivered & ~banned
+            if not unbanned.any():
+                unbanned = delivered
+            weights, alive = data_weights, np.ones(n, dtype=bool)
+            for keep in (uploaded, delivered, unbanned):
+                weights, alive = _narrow(weights, alive, keep)
+            ids = np.flatnonzero(alive)
+            rows = slice(None) if ids.size == n else ids
+            vecs, w = updates[rows], weights[rows]
 
-                if after_dead:
-                    if dropout_aggregator is not None:
-                        # Real recovery: reconstruct the dropped clients'
-                        # masks from survivor seed shares and cancel them.
-                        alive = np.array(
-                            [i not in after_dead for i in range(len(cur_members))],
-                            dtype=bool,
-                        )
-                        w = weights / weights[alive].sum()
-                        with tel.span("secagg", k=k, recovery=True):
-                            res = dropout_aggregator.aggregate(
-                                updates * w[:, None],
-                                dropped=after_dead,
-                                round_id=round_id * group_rounds + k,
-                                rng=rng,
-                            )
-                        if fault_events is not None:
-                            fault_events.append(FaultEvent(
-                                "secagg_recovery", round_id, gid, None, k,
-                                retries=res.reconstructed_pairs,
-                            ))
-                        group_params = group_params + res.total
-                        continue
-                    keep = np.array(
-                        [i not in after_dead for i in range(len(cur_members))],
-                        dtype=bool,
-                    )
-                    updates = updates[keep]
-                    params_k = params_k[keep]
-                    weights = weights[keep] / weights[keep].sum()
-                    cur_members = [
-                        m for i, m in enumerate(cur_members) if i not in after_dead
-                    ]
-
-            # Simulated client dropout: failed clients never submit this round.
-            if dropout_prob > 0.0 and len(cur_members) > 1:
-                alive = rng.random(len(cur_members)) >= dropout_prob
-                # Keep enough survivors for aggregation (and for the recovery
-                # protocol's Shamir threshold, when in use).
-                while alive.sum() < min(min_alive, len(cur_members)):
-                    dead = np.flatnonzero(~alive)
-                    alive[dead[int(rng.integers(dead.size))]] = True
-                if not alive.all():
-                    if tel.enabled:
-                        tel.inc("clients_dropped", float((~alive).sum()))
-                    if dropout_aggregator is not None:
-                        # Real recovery: reconstruct the dropped clients'
-                        # masks from survivor seed shares and cancel them.
-                        dropped = set(np.flatnonzero(~alive).tolist())
-                        w = weights / weights[alive].sum()
-                        with tel.span("secagg", k=k, recovery=True):
-                            res = dropout_aggregator.aggregate(
-                                updates * w[:, None],
-                                dropped=dropped,
-                                round_id=round_id * group_rounds + k,
-                                rng=rng,
-                            )
-                        if fault_events is not None:
-                            fault_events.append(FaultEvent(
-                                "secagg_recovery", round_id, gid, None, k,
-                                retries=res.reconstructed_pairs,
-                            ))
-                        group_params = group_params + res.total
-                        continue
-                    updates = updates[alive]
-                    params_k = params_k[alive]
-                    weights = weights[alive] / weights[alive].sum()
-                    members_round = [m for m, a in zip(cur_members, alive) if a]
-                else:
-                    members_round = cur_members
-            else:
-                members_round = cur_members
-
-            # Clients flagged in an earlier group round of this session stay
-            # banned — re-admitting a detected attacker at k+1 would
-            # re-implant whatever the defense just removed.
-            if banned:
-                keep_mask = np.array(
-                    [m.client_id not in banned for m in members_round], dtype=bool
-                )
-                if not keep_mask.all() and keep_mask.any():
-                    updates = updates[keep_mask]
-                    params_k = params_k[keep_mask]
-                    weights = weights[keep_mask] / weights[keep_mask].sum()
-                    members_round = [
-                        m for m, kp in zip(members_round, keep_mask) if kp
-                    ]
-
-            if backdoor_detector is not None and len(members_round) > 1:
-                with tel.span("backdoor", k=k, clients=len(members_round)):
-                    report = backdoor_detector.detect(updates, rng=rng)
-                kept = report.admitted
-                for f in report.flagged:
-                    banned.add(members_round[int(f)].client_id)
+            # 6. The backdoor defense over the clients still alive; flagged
+            # clients are banned for the rest of the session.
+            defended = backdoor_detector is not None and ids.size > 1
+            if defended:
+                with tel.span("backdoor", k=k, clients=int(ids.size)):
+                    report = backdoor_detector.detect(vecs, rng=rng)
+                banned[ids[report.flagged]] = True
                 if tel.enabled and len(report.flagged):
                     tel.inc("clients_banned", float(len(report.flagged)))
                 # Aggregate the defended (clipped) updates of admitted
                 # clients.
-                kept_weights = weights[kept]
-                kept_weights = kept_weights / kept_weights.sum()
-                if secure_aggregator is not None:
-                    with tel.span("secagg", k=k, clients=int(kept.size)):
-                        agg_update = secure_aggregator.aggregate_weighted(
-                            report.filtered,
-                            kept_weights,
-                            round_id=round_id * group_rounds + k,
-                        )
-                else:
-                    with tel.span("aggregate", k=k):
-                        agg_update = weighted_average(report.filtered, kept_weights)
-                group_params = group_params + agg_update
-            elif secure_aggregator is not None:
-                with tel.span("secagg", k=k, clients=len(members_round)):
+                ids = ids[report.admitted]
+                w = w[report.admitted]
+                w = w / w.sum()
+                vecs = report.filtered
+
+            # 7. One aggregation.
+            secagg_round = round_id * group_rounds + k
+            if recovery is None:
+                with tel.span("aggregate", k=k):
+                    if defended:
+                        group_params = group_params + weighted_average(vecs, w)
+                    else:
+                        # Line 14: x^g_{t,k+1} = Σ_i (n_i/n_g) x^i.
+                        group_params = weighted_average(params_k[rows], w)
+            elif not lost.any():
+                with tel.span("secagg", k=k, clients=int(ids.size)):
                     agg_update = secure_aggregator.aggregate_weighted(
-                        updates, weights, round_id=round_id * group_rounds + k
+                        vecs, w, round_id=secagg_round
                     )
                 group_params = group_params + agg_update
             else:
-                # Line 14: x^g_{t,k+1} = Σ_i (n_i/n_g) x^i.
-                with tel.span("aggregate", k=k):
-                    group_params = weighted_average(params_k, weights)
+                # Someone dropped after masking: reconstruct their masks
+                # from the live shareholders' seed shares and cancel them.
+                session = np.flatnonzero(uploaded)
+                vectors = np.zeros((session.size, vecs.shape[1]))
+                vectors[np.searchsorted(session, ids)] = vecs * w[:, None]
+                with tel.span("secagg", k=k, recovery=True):
+                    res = recovery.aggregate(
+                        vectors,
+                        dropped=np.flatnonzero(lost[session]),
+                        round_id=secagg_round,
+                        rng=rng,
+                    )
+                events.append(FaultEvent(
+                    "secagg_recovery", round_id, gid, None, k,
+                    retries=res.reconstructed_pairs,
+                ))
+                group_params = group_params + res.total
     return group_params

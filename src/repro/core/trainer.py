@@ -157,7 +157,6 @@ class TrainerConfig:
     regroup_every: int | None = None
     use_secure_aggregation: bool = False
     use_backdoor_defense: bool = False
-    client_dropout_prob: float = 0.0
     parallel_backend: str = "serial"
     #: local-training engine: "auto" uses the stacked batched engine
     #: (repro.nn.batched) whenever the model/strategy support it,
@@ -201,10 +200,6 @@ class TrainerConfig:
         if self.checkpoint_every is not None and self.checkpoint_every < 1:
             raise ValueError(
                 f"checkpoint_every must be >= 1 or None, got {self.checkpoint_every}"
-            )
-        if not 0.0 <= self.client_dropout_prob < 1.0:
-            raise ValueError(
-                f"client_dropout_prob must be in [0, 1), got {self.client_dropout_prob}"
             )
         if self.parallel_backend not in available_backends():
             raise ValueError(
@@ -277,8 +272,6 @@ class _WorkerContext:
     strategy: LocalStrategy
     use_secagg: bool
     use_backdoor: bool
-    dropout_threshold: int | None
-    dropout_prob: float
     payload_factor: int
     compressor: object = None
     attackers: dict = field(default_factory=dict)
@@ -323,11 +316,6 @@ def _process_group_worker(task: _GroupTask) -> tuple[np.ndarray, list[FaultEvent
     backdoor_detector = (
         BackdoorDetector(telemetry=NULL_TELEMETRY) if ctx.use_backdoor else None
     )
-    dropout_aggregator = None
-    if ctx.dropout_threshold is not None:
-        from repro.secure.dropout import DropoutTolerantAggregator
-
-        dropout_aggregator = DropoutTolerantAggregator(threshold=ctx.dropout_threshold)
     # The context persists across this worker's tasks, but per-task
     # semantics must match a freshly-pickled payload: stateful compressors
     # (ErrorFeedback residuals) must not accumulate across groups here when
@@ -357,8 +345,6 @@ def _process_group_worker(task: _GroupTask) -> tuple[np.ndarray, list[FaultEvent
         backdoor_detector=backdoor_detector,
         round_id=task.round_idx,
         compressor=compressor,
-        dropout_prob=ctx.dropout_prob,
-        dropout_aggregator=dropout_aggregator,
         update_transforms=ctx.attackers or None,
         telemetry=NULL_TELEMETRY,
         fault_plan=ctx.fault_plan,
@@ -583,19 +569,6 @@ class GroupFELTrainer:
                 if self.config.use_backdoor_defense
                 else None
             )
-        # Dropouts + secure aggregation together require the recovery
-        # protocol (survivors reconstruct dropped clients' masks). A fault
-        # plan that can lose uploads post-masking needs it too.
-        self.dropout_aggregator = None
-        plan_drops = self.fault_plan is not None and (
-            self.fault_plan.has_dropout or self.fault_plan.has_message_loss
-        )
-        if self.config.use_secure_aggregation and (
-            self.config.client_dropout_prob > 0 or plan_drops
-        ):
-            from repro.secure.dropout import DropoutTolerantAggregator
-
-            self.dropout_aggregator = DropoutTolerantAggregator(threshold=2)
         self.strategy.init_run(self.model.num_params, fed.num_clients)
         self.callbacks = list(callbacks or [])
         #: optional update compressor / ErrorFeedback (repro.compression)
@@ -693,12 +666,6 @@ class GroupFELTrainer:
             strategy=self.strategy,
             use_secagg=cfg.use_secure_aggregation,
             use_backdoor=cfg.use_backdoor_defense,
-            dropout_threshold=(
-                self.dropout_aggregator.threshold
-                if self.dropout_aggregator is not None
-                else None
-            ),
-            dropout_prob=cfg.client_dropout_prob,
             payload_factor=self.strategy.payload_factor,
             compressor=self.compressor,
             attackers=self.attackers,
@@ -884,8 +851,6 @@ class GroupFELTrainer:
             backdoor_detector=self.backdoor_detector,
             round_id=self.round_idx,
             compressor=self.compressor,
-            dropout_prob=self.config.client_dropout_prob,
-            dropout_aggregator=self.dropout_aggregator,
             update_transforms=self.attackers or None,
             telemetry=self.telemetry,
             parent_span_id=parent_span_id,

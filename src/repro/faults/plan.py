@@ -98,14 +98,6 @@ class FaultPlan:
     def of_kind(self, kind: str) -> list[Injector]:
         return [i for i in self.injectors if i.kind == kind]
 
-    @property
-    def has_dropout(self) -> bool:
-        return bool(self.of_kind("dropout"))
-
-    @property
-    def has_message_loss(self) -> bool:
-        return bool(self.of_kind("message_loss"))
-
     def __bool__(self) -> bool:
         return bool(self.injectors)
 

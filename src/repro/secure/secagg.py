@@ -3,10 +3,11 @@
 The protocol simulated here is the mask-cancellation core of
 "Practical Secure Aggregation for Privacy-Preserving Machine Learning"
 (CCS'17): fixed-point encoding, pairwise additive masks, server-side ring
-summation. Dropout recovery (secret-sharing the seeds) is out of scope —
-the simulator has no partial failures — but the cost structure (Θ(|g|²·d)
-mask work per group) is exactly what the paper's O_g(|g|) quadratic
-overhead models.
+summation. Its cost structure (Θ(|g|²·d) mask work per group) is exactly
+what the paper's O_g(|g|) quadratic overhead models. Recovery from
+clients that drop after masking (secret-sharing the seeds) lives in
+:mod:`repro.secure.dropout`; the group round switches to it whenever an
+upload is lost.
 
 The hot path batches the whole round: one cached pair-seed table
 (:func:`repro.secure.masking.pairwise_seed_table`), all Philox key

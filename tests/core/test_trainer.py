@@ -260,12 +260,6 @@ class TestConfigValidation:
         for method in ("random", "rcov", "srcov", "esrcov"):
             assert TrainerConfig(sampling_method=method).sampling_method == method
 
-    def test_invalid_dropout_prob(self):
-        with pytest.raises(ValueError, match="client_dropout_prob"):
-            TrainerConfig(client_dropout_prob=1.0)
-        with pytest.raises(ValueError, match="client_dropout_prob"):
-            TrainerConfig(client_dropout_prob=-0.1)
-
     def test_invalid_momentum(self):
         with pytest.raises(ValueError, match="momentum"):
             TrainerConfig(momentum=-0.1)

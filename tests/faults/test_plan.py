@@ -68,8 +68,8 @@ class TestInspection:
     def test_of_kind_and_flags(self):
         plan = FaultPlan.from_spec("dropout:0.2,dropout:0.1@before,loss:0.1")
         assert len(plan.of_kind("dropout")) == 2
-        assert plan.has_dropout and plan.has_message_loss
-        assert not FaultPlan(seed=0).has_dropout
+        assert len(plan.of_kind("message_loss")) == 1
+        assert not FaultPlan(seed=0).of_kind("dropout")
 
     def test_truthiness(self):
         assert not FaultPlan(seed=3)

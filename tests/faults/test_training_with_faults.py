@@ -130,7 +130,7 @@ class TestConfigPlumbing:
         trainer = _make_trainer(small_fed, small_edges, faults="dropout:0.2,loss:0.1")
         assert isinstance(trainer.config.faults, FaultPlan)
         assert trainer.fault_plan is trainer.config.faults
-        assert trainer.fault_plan.has_dropout
+        assert trainer.fault_plan.of_kind("dropout")
 
     def test_config_rejects_bad_type(self):
         with pytest.raises(TypeError, match="faults"):
@@ -155,23 +155,31 @@ class TestConfigPlumbing:
 
 
 class TestSecAggInterlock:
+    """Uploads lost after masking route SecAgg through Shamir recovery;
+    without SecAgg there is nothing to reconstruct."""
+
     def test_dropout_aggregator_enabled_by_plan(self, small_fed, small_edges):
         trainer = _make_trainer(
             small_fed, small_edges,
             use_secure_aggregation=True, faults="dropout:0.2",
         )
-        assert trainer.dropout_aggregator is not None
+        trainer.run()
+        assert trainer.fault_trace.counts()["secagg_recovery"] >= 1
 
     def test_message_loss_also_requires_recovery(self, small_fed, small_edges):
         trainer = _make_trainer(
             small_fed, small_edges,
-            use_secure_aggregation=True, faults="loss:0.2",
+            # no retries: every lost attempt loses the masked upload
+            use_secure_aggregation=True, faults="loss:0.2:0",
         )
-        assert trainer.dropout_aggregator is not None
+        trainer.run()
+        assert trainer.fault_trace.counts()["secagg_recovery"] >= 1
 
     def test_no_secagg_no_recovery_protocol(self, small_fed, small_edges):
         trainer = _make_trainer(small_fed, small_edges, faults="dropout:0.2")
-        assert trainer.dropout_aggregator is None
+        trainer.run()
+        assert trainer.fault_trace.counts()["dropout"] >= 1
+        assert trainer.fault_trace.counts()["secagg_recovery"] == 0
 
 
 class TestRunnerIntegration:

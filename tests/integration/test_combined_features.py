@@ -47,7 +47,7 @@ def everything_on():
             group_rounds=2, local_rounds=1, num_sampled=2, lr=0.1, momentum=0.9,
             sampling_method="esrcov", aggregation_mode="stabilized", min_prob=0.02,
             max_rounds=6, use_secure_aggregation=True, use_backdoor_defense=True,
-            client_dropout_prob=0.15, regroup_every=3, seed=0,
+            faults="dropout:0.15@after", regroup_every=3, seed=0,
         ),
         cost_model=cost_model,
         grouper=grouper,
@@ -87,7 +87,7 @@ class TestFullStack:
         trainer, _, _, _ = everything_on
         assert trainer.secure_aggregator is not None
         assert trainer.backdoor_detector is not None
-        assert trainer.dropout_aggregator is not None
+        assert trainer.fault_trace.counts()["secagg_recovery"] >= 1
 
     def test_deterministic_full_stack(self):
         """The everything-on configuration reproduces bit-identically."""
@@ -106,7 +106,7 @@ class TestFullStack:
                 fed, groups,
                 TrainerConfig(group_rounds=1, local_rounds=1, num_sampled=2,
                               max_rounds=3, use_secure_aggregation=True,
-                              client_dropout_prob=0.2, seed=0),
+                              faults="dropout:0.2@after", seed=0),
                 compressor=QuantizeCompressor(bits=12),
             )
             return trainer.run().test_acc

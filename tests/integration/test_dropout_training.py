@@ -1,4 +1,9 @@
-"""Integration: training under simulated client dropouts."""
+"""Integration: training under simulated client dropouts.
+
+Dropouts come from the fault plan: ``dropout:p@after`` clients train, mask
+their upload, then vanish — with SecAgg on, the round recovers their masks
+through Shamir reconstruction.
+"""
 
 import numpy as np
 import pytest
@@ -26,7 +31,7 @@ def train(setting, dropout, secure=False, rounds=5):
     fed, groups = setting
     cfg = TrainerConfig(group_rounds=2, local_rounds=1, num_sampled=2,
                         lr=0.1, momentum=0.9, max_rounds=rounds,
-                        client_dropout_prob=dropout,
+                        faults=f"dropout:{dropout}@after" if dropout else None,
                         use_secure_aggregation=secure, seed=0)
     trainer = GroupFELTrainer(
         lambda: make_mlp(192, 10, hidden=(16,), seed=3), fed, groups, cfg,
@@ -36,13 +41,14 @@ def train(setting, dropout, secure=False, rounds=5):
 
 class TestDropoutTraining:
     def test_moderate_dropout_still_learns(self, setting):
-        _, history = train(setting, dropout=0.3)
+        trainer, history = train(setting, dropout=0.3)
+        assert trainer.fault_trace.counts()["dropout"] >= 1
         assert history.final_accuracy > 0.35
 
     def test_dropout_with_secure_recovery(self, setting):
         """Dropouts + SecAgg route through the reconstruction protocol."""
         trainer, history = train(setting, dropout=0.3, secure=True)
-        assert trainer.dropout_aggregator is not None
+        assert trainer.fault_trace.counts()["secagg_recovery"] >= 1
         assert history.final_accuracy > 0.3
 
     def test_zero_dropout_is_baseline(self, setting):
@@ -54,9 +60,3 @@ class TestDropoutTraining:
         _, h_heavy = train(setting, dropout=0.7, rounds=5)
         # Still finite and above chance.
         assert 0.1 < h_heavy.final_accuracy <= 1.0
-
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            TrainerConfig(client_dropout_prob=1.0)
-        with pytest.raises(ValueError):
-            TrainerConfig(client_dropout_prob=-0.1)

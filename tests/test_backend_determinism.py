@@ -37,7 +37,11 @@ def _run(small_fed, small_edges, backend: str, faults=None):
         # catch state leaking between groups.
         momentum=0.9, weight_decay=1e-4,
         seed=7, parallel_backend=backend,
-        use_secure_aggregation=faults is not None, faults=faults,
+        # The faulted config runs SecAgg recovery together with the
+        # backdoor defense and its session bans, so every backend must
+        # also agree on who gets banned in recovery rounds.
+        use_secure_aggregation=faults is not None,
+        use_backdoor_defense=faults is not None, faults=faults,
     )
     trainer = GroupFELTrainer(
         model_fn, small_fed, groups, cfg, paper_cost_model()
